@@ -54,6 +54,11 @@ class Sanitizer:
     A core holds at most one sanitizer; every hook site is guarded by
     ``if self.sanitizer is not None`` so the disabled path costs one
     attribute test and the enabled path never feeds back into timing.
+    The SST core's speculative loop is generated
+    (:mod:`repro.core.sst_dispatch`): with a sanitizer attached it runs
+    the loop's *checked* variant, which routes every deferral through
+    the hooked ``SSTCore._defer_issue``; the variant production runs
+    has no hook sites at all.
     """
 
     def __init__(self, core_name: str, program: Program):

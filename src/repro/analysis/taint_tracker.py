@@ -15,9 +15,11 @@ Design rules, in priority order:
 * **Strictly observational.**  Like the sanitizer, the tracker must not
   perturb the simulation: golden cycle counts are bit-identical with
   ``REPRO_TAINT`` on and off.  It reads core state through pure
-  accessors only (:meth:`StoreBuffer.peek_forward`, never ``forward``),
-  and the compiled speculative loop is disabled while it is attached,
-  exactly as under ``REPRO_SANITIZE``.
+  accessors only (:meth:`StoreBuffer.peek_forward`, never ``forward``).
+  While it is attached the core runs the checked variant of the
+  generated speculative loop (:mod:`repro.core.sst_dispatch`), which
+  carries the tracker's hook sites, exactly as under
+  ``REPRO_SANITIZE``.
 
 * **Lazy architectural shadow.**  Committed-state taint comes from a
   shadow :class:`Interpreter` advanced to the core's committed

@@ -67,8 +67,10 @@ and equally runnable as ``python -m repro``.  Subcommands:
 ``repro fuzz [--max-examples N] [--out PATH]``
     Drive the differential program fuzzer
     (:mod:`repro.workloads.fuzz`): random proglint-clean programs
-    through every core variant, block-dispatch off, and the ensemble
-    backend, checked against the golden interpreter.  A divergence is
+    through every core variant and the ensemble backend, checked
+    against the golden interpreter (with ``REPRO_SANITIZE=1`` and
+    ``REPRO_TAINT=1`` the SST variants run the checked loop).  A
+    divergence is
     shrunk to a minimal program, printed, optionally written as a JSON
     artifact, and exits 1.
 

@@ -420,7 +420,6 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #   REPRO_CACHE             "0" disables the result cache
 #   REPRO_CACHE_DIR         result-cache directory override
 #   REPRO_CACHE_MAX_BYTES   LRU size cap for the result cache
-#   REPRO_BLOCK_DISPATCH    "0" restores per-instruction dispatch
 #   REPRO_ENSEMBLE          "0" disables the vectorized ensemble
 #                           backend (falls back to the scalar
 #                           per-lane interpreter loop)
@@ -486,9 +485,9 @@ def env_flag(name: str, default: bool = True) -> bool:
 
 
 def ensemble_enabled() -> bool:
-    """True unless ``REPRO_ENSEMBLE=0`` — the ensemble kill switch,
-    mirroring ``REPRO_BLOCK_DISPATCH``.  When off, ensemble entry
-    points run every lane through the scalar golden interpreter."""
+    """True unless ``REPRO_ENSEMBLE=0`` — the ensemble kill switch.
+    When off, ensemble entry points run every lane through the scalar
+    golden interpreter."""
     return env_flag(ENSEMBLE_ENV, default=True)
 
 

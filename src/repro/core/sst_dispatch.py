@@ -1,21 +1,21 @@
 """Generated-Python specializer for the SST speculative cycle loop.
 
-:meth:`SSTCore._speculative_loop` is the simulator's hottest code: one
-iteration per stepped speculative cycle, several helper calls per
-issued instruction (`_try_ahead_issue`, `_consume_slot`,
-`_account_mode_cycles`, `_classify_mode`, the `_try_commits` /
-`_try_replay_issue` memo probes).  At ~8 Python calls per instruction
-the call overhead, not the modelling, bounds throughput.
+The speculative cycle loop is the simulator's hottest code: one
+iteration per stepped speculative cycle.  Written as ordinary methods
+it costs several helper calls per issued instruction (ahead issue, slot
+consumption, mode-cycle accounting, mode classification, the commit /
+replay memo probes), and at ~8 Python calls per instruction the call
+overhead, not the modelling, bounds throughput.
 
-This module emits a specialized copy of that loop as Python source and
-``exec``-compiles it once per configuration signature:
+This module emits the loop as Python source and ``exec``-compiles it
+once per configuration signature:
 
 * configuration-invariant branches (scout enabled?  long-op deferral?
   store bypass?  defer trigger level?) are pruned at generation time;
 * width, latencies and the mispredict penalty are baked in as integer
   literals;
-* the ahead-strand fast paths (ALU, load, store, branch, jumps, and
-  the scout equivalents), slot consumption, mode classification and
+* the ahead-strand paths (ALU, load, store, branch, jumps, and the
+  scout equivalents), slot consumption, mode classification and
   mode-cycle accounting are inlined — instruction decode reads the
   block cache's flat rows (:mod:`repro.isa.blockcache`);
 * the memo fast-paths of the replay scan and commit check are inlined
@@ -24,9 +24,12 @@ This module emits a specialized copy of that loop as Python source and
   region/full commit, deferral and replay semantics live in exactly
   one place (:mod:`repro.core.sst_core`).
 
-The reference loop is kept, bit-identical, and is what runs when
-``REPRO_BLOCK_DISPATCH=0`` or when the sanitizer is attached; the
-differential tests drive both paths over every machine and workload.
+It is the only speculative loop: :class:`~repro.core.sst_core.SSTCore`
+always runs it.  The ``checked`` signature bit, set when a sanitizer or
+taint tracker is attached to the core, adds the ahead/scout taint hook
+sites and routes every deferral through ``SSTCore._defer_issue`` (which
+carries the sanitizer and taint defer hooks) instead of the inlined
+fast path.  The unchecked loop production runs carries no hook at all.
 
 Mutable scalar state (``_seq``, ``_ahead_pc``, ``_cycle``, the memo
 words...) stays on the core object so the inlined fast paths and the
@@ -160,7 +163,7 @@ def _fast_defer(pad: str, order: bool) -> str:
 def _build_source(width: int, scout_possible: bool, scout_enabled: bool,
                   defer_long_ops: bool, bypass: bool, defer_tlb: bool,
                   defer_l1: bool, lat_alu: int, lat_mul: int, lat_div: int,
-                  penalty: int) -> str:
+                  penalty: int, checked: bool = False) -> str:
     trig = _triggering(defer_tlb, defer_l1, "result")
     conservative = "False" if bypass else "True"
     out = []
@@ -215,6 +218,13 @@ def _sst_spec_loop(core, budget, until):
     # normal_insts cannot change while an episode is live, so the
     # ahead-strand budget check reduces to one counter read.
     ahead_limit = budget - stats.normal_insts
+""")
+    if checked:
+        # None when only the sanitizer is attached.
+        emit("""\
+    taint = core.taint
+""")
+    emit("""\
     while True:
         mode = core.mode
         if mode is NORMAL:
@@ -356,13 +366,23 @@ def _sst_spec_loop(core, budget, until):
                         na = True
                         break
 """)
-    # ---- scout issue (inlined _scout_issue) -----------------------------
+    # ---- scout issue ----------------------------------------------------
     if scout_possible:
         p = " " * 16
+        # Taint hooks run before anything is written (the NA result's
+        # taint comes from the available sources only) and, on the
+        # available path, before dispatch, mirroring its fault guards.
+        scout_na_hook = scout_hook = ""
+        if checked:
+            scout_na_hook = (f"{p}    if taint is not None:\n"
+                             f"{p}        taint.on_scout_na(inst, seq)\n")
+            scout_hook = (f"{p}if taint is not None:\n"
+                          f"{p}    taint.on_scout(inst, pc, seq, cycle)\n")
         emit(f"""\
             if m is SCOUT:
                 next_pc = pc + 1
                 if na:
+{scout_na_hook}\
                     if kind == K_BRANCH:
                         if predict_cond(pc):
                             next_pc = target
@@ -391,6 +411,7 @@ def _sst_spec_loop(core, budget, until):
                     if wake_min is None or wake < wake_min:
                         wake_min = wake
                     break
+{scout_hook}\
                 if kind <= K_DIV:
                     a = spec_values[rs1]
                     value = fn(a, imm) if uses_imm else fn(a, spec_values[rs2])
@@ -458,10 +479,22 @@ def _sst_spec_loop(core, budget, until):
     # Fast path: plain ALU/long-op/load defers with DQ room are by far
     # the common case and carry no branch/jump/store bookkeeping —
     # inline them; everything else falls through to the method.
+    # A checked loop always takes the method, which carries the
+    # sanitizer and taint defer hooks.
+    na_fast = ""
+    order_fast = ""
+    if not checked:
+        na_fast = (
+            "                if kind <= K_LOAD and len(dq_entries) < dq_capacity:\n"
+            + _fast_defer(" " * 20, False)
+        )
+        order_fast = (
+            "                    if len(dq_entries) < dq_capacity:\n"
+            + _fast_defer(" " * 24, True)
+        )
     emit(f"""\
             if na:
-                if kind <= K_LOAD and len(dq_entries) < dq_capacity:
-{_fast_defer(' ' * 20, False)}\
+{na_fast}\
                 core._ahead_pc = ahead_pc
                 core._seq = seq
                 status, wake = defer_issue(inst, pc, cycle)
@@ -476,10 +509,18 @@ def _sst_spec_loop(core, budget, until):
                     wake_min = wake
                 break
 """)
-    # ---- ahead execute (inlined _ahead_execute) -------------------------
+    # ---- ahead execute --------------------------------------------------
     p = " " * 12
     emit("""\
             next_pc = pc + 1
+""")
+    if checked:
+        # Pre-dispatch (rd may alias a source register); the tracker
+        # mirrors every early-return guard below so it only records
+        # accesses that really reach the hierarchy.
+        emit("""\
+            if taint is not None:
+                taint.on_ahead(inst, pc, seq, cycle)
 """)
     # ALU/MUL/DIV
     if defer_long_ops:
@@ -522,8 +563,7 @@ def _sst_spec_loop(core, budget, until):
                     core._ahead_block = "fault"
                     break
                 if blocks_load(addr, seq, {conservative}):
-                    if len(dq_entries) < dq_capacity:
-{_fast_defer(' ' * 24, True)}\
+{order_fast}\
                     core._ahead_pc = ahead_pc
                     core._seq = seq
                     status, wake = defer_issue(inst, pc, cycle, True)
@@ -664,27 +704,11 @@ def _sst_spec_loop(core, budget, until):
     return "".join(out)
 
 
-_LOOP_CACHE: Dict[Tuple, Callable] = {}
-
-
-def compile_spec_loop(config: SSTConfig, mispredict_penalty: int) -> Callable:
-    """The specialized loop for one configuration signature (cached)."""
+def loop_source(config: SSTConfig, mispredict_penalty: int,
+                checked: bool = False) -> str:
+    """The generated loop source for one configuration signature."""
     latencies = config.latencies
-    key = (config.width, config.scout_enabled, config.scout_only,
-           config.defer_long_ops, config.bypass_unresolved_stores,
-           config.defer_on_tlb_miss, config.defer_trigger,
-           latencies.alu, latencies.mul, latencies.div,
-           mispredict_penalty)
-    loop = _LOOP_CACHE.get(key)
-    if loop is not None:
-        return loop
-
-    # Imported here: sst_core imports this module lazily from __init__,
-    # so by the time we run, sst_core is fully initialized.
-    from repro.core import sst_core
-    from repro.isa import blockcache
-
-    source = _build_source(
+    return _build_source(
         width=config.width,
         scout_possible=config.scout_enabled or config.scout_only,
         scout_enabled=config.scout_enabled,
@@ -696,7 +720,36 @@ def compile_spec_loop(config: SSTConfig, mispredict_penalty: int) -> Callable:
         lat_mul=latencies.mul,
         lat_div=latencies.div,
         penalty=mispredict_penalty,
+        checked=checked,
     )
+
+
+_LOOP_CACHE: Dict[Tuple, Callable] = {}
+
+
+def compile_spec_loop(config: SSTConfig, mispredict_penalty: int,
+                      checked: bool = False) -> Callable:
+    """The specialized loop for one configuration signature (cached).
+
+    ``checked`` selects the variant with the sanitizer/taint hook
+    sites; the core sets it when either checker is attached.
+    """
+    latencies = config.latencies
+    key = (config.width, config.scout_enabled, config.scout_only,
+           config.defer_long_ops, config.bypass_unresolved_stores,
+           config.defer_on_tlb_miss, config.defer_trigger,
+           latencies.alu, latencies.mul, latencies.div,
+           mispredict_penalty, checked)
+    loop = _LOOP_CACHE.get(key)
+    if loop is not None:
+        return loop
+
+    # Imported here: sst_core imports this module, so a module-level
+    # import would be a cycle; by the time we run, sst_core is loaded.
+    from repro.core import sst_core
+    from repro.isa import blockcache
+
+    source = loop_source(config, mispredict_penalty, checked)
     namespace = {
         "NORMAL": ExecMode.NORMAL,
         "SCOUT": ExecMode.SCOUT,

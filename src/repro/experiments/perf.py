@@ -338,6 +338,7 @@ def measure_ensemble(lanes: int = 64, scale: str = "tiny",
     """
     from repro.sim import ensemble
 
+    params = _select_workloads(scale, workloads)
     base = {"lanes": lanes, "scale": scale}
     if backend is None:
         if not ensemble.numpy_available():
@@ -352,8 +353,6 @@ def measure_ensemble(lanes: int = 64, scale: str = "tiny",
             backend = ensemble.resolve_backend(backend)
         except ensemble.EnsembleDependencyError as exc:
             return {"available": False, "reason": str(exc), **base}
-
-    params = _select_workloads(scale, workloads)
 
     rows: Dict[str, Any] = {}
     total_insts = 0
@@ -452,6 +451,11 @@ def measure_timing_ensemble(lanes: int = 64, scale: str = "tiny",
     """
     from repro.sim import ensemble, timing_ensemble
 
+    # A bad selection is the caller's error whatever the engine state.
+    if workloads is None:
+        workloads = list(DEFAULT_TIMING_WORKLOADS)
+    params = _select_workloads(scale, workloads)
+
     base = {"lanes": lanes, "scale": scale}
     if not ensemble.numpy_available():
         return {"available": False, "reason": "numpy not installed", **base}
@@ -462,10 +466,6 @@ def measure_timing_ensemble(lanes: int = 64, scale: str = "tiny",
             else "sanitizer or fault-injection hooks are active"
         )
         return {"available": False, "reason": reason, **base}
-
-    if workloads is None:
-        workloads = list(DEFAULT_TIMING_WORKLOADS)
-    params = _select_workloads(scale, workloads)
 
     rows: Dict[str, Any] = {}
     total_insts = 0

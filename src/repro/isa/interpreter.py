@@ -74,18 +74,10 @@ class Interpreter:
         self.stats = InterpreterStats()
         self.max_steps = max_steps
         self.halted = False
-        self._block_fns = (
-            blockcache.get_block_program(program).block_fns
-            if blockcache.enabled() else None
-        )
+        self._block_fns = blockcache.get_block_program(program).block_fns
 
     def run(self) -> ArchState:
         """Run to HALT; raises :class:`ExecutionError` on runaway."""
-        block_fns = self._block_fns
-        if block_fns is None:
-            while not self.halted:
-                self.step()
-            return self.state
         # Block dispatch: whole basic blocks execute as one generated
         # function call.  step() remains the per-instruction reference
         # and the fallback for mid-block entry PCs (JALR return into a
@@ -96,7 +88,7 @@ class Interpreter:
         mem_write = state.memory.write
         stats = self.stats
         max_steps = self.max_steps
-        get_block = block_fns.get
+        get_block = self._block_fns.get
         while not self.halted:
             entry = get_block(state.pc)
             if entry is None:

@@ -20,7 +20,7 @@ import io
 from typing import Iterable, List, Union
 
 from repro.errors import ReproError
-from repro.isa.interpreter import Interpreter, DEFAULT_MAX_STEPS
+from repro.isa.interpreter import ArchState, DEFAULT_MAX_STEPS, Interpreter
 from repro.isa.opcodes import OpClass
 from repro.isa.program import Program
 from repro.isa.semantics import branch_taken, effective_address
@@ -119,11 +119,14 @@ class _TracingInterpreter(Interpreter):
 
     def __init__(self, program: Program, max_steps: int):
         super().__init__(program, max_steps=max_steps)
-        # Tracing observes every dynamic instruction through step();
-        # force per-instruction dispatch so block execution cannot
-        # route around the snoop.
-        self._block_fns = None
         self.events: List[Event] = []
+
+    def run(self) -> ArchState:
+        # Tracing observes every dynamic instruction through step(),
+        # so block execution must not route around the snoop.
+        while not self.halted:
+            self.step()
+        return self.state
 
     def step(self) -> None:
         if self.halted:

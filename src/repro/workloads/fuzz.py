@@ -12,10 +12,9 @@ reusable discovery engine:
 * :func:`build_program` — deterministic shape → :class:`Program`
   (proglint-clean by construction),
 * :func:`differential_check` — one program through every core factory
-  (in-order, two OoO variants, four SST variants, scout-only), a
-  block-dispatch-off SST leg, and the vectorized ensemble backend; any
-  architectural divergence from the golden interpreter comes back as a
-  string verdict,
+  (in-order, two OoO variants, four SST variants, scout-only) and the
+  vectorized ensemble backend; any architectural divergence from the
+  golden interpreter comes back as a string verdict,
 * :func:`fuzz` — drives hypothesis' ``find`` so a failing shape is
   *shrunk* to a minimal reproducer before being reported.
 
@@ -222,8 +221,6 @@ def differential_check(program: Program) -> Optional[str]:
     """Run ``program`` through every machine variant; return a verdict
     string on the first architectural divergence, ``None`` if all
     agree with the golden interpreter."""
-    import os
-
     for name, factory in CORE_FACTORIES:
         hierarchy = MemoryHierarchy(small_hierarchy())
         core = factory(program, hierarchy)
@@ -233,25 +230,6 @@ def differential_check(program: Program) -> Optional[str]:
             verify_against_golden(result, program)
         except ReproError as error:
             return f"{name}: {error}"
-
-    # Block dispatch off: the interpreted SST path must agree with the
-    # compiled one bit-for-bit.
-    saved = os.environ.get("REPRO_BLOCK_DISPATCH")
-    os.environ["REPRO_BLOCK_DISPATCH"] = "0"
-    try:
-        hierarchy = MemoryHierarchy(small_hierarchy())
-        core = SSTCore(program, hierarchy, SSTConfig())
-        try:
-            result = core.run(max_instructions=MAX_INSTRUCTIONS)
-            result.core_name = "sst-nodispatch"
-            verify_against_golden(result, program)
-        except ReproError as error:
-            return f"sst-nodispatch: {error}"
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BLOCK_DISPATCH", None)
-        else:
-            os.environ["REPRO_BLOCK_DISPATCH"] = saved
 
     # Vectorized ensemble backend vs. the scalar interpreter.
     from repro.isa.interpreter import run_program

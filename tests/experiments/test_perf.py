@@ -306,8 +306,12 @@ def timing_section(speedup, available=True):
 
 
 class TestMeasureTimingEnsemble:
-    def test_section_structure_and_differential_guard(self):
+    def test_section_structure_and_differential_guard(self, monkeypatch):
         pytest.importorskip("numpy")
+        # Precondition: lane batching is on, which the sanitizer and
+        # the fault injector disable by design.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
         section = perf.measure_timing_ensemble(lanes=4)
         assert section["available"]
         assert section["backend"] == "numpy"
@@ -338,10 +342,15 @@ class TestMeasureTimingEnsemble:
         with pytest.raises(perf.ReproError, match="no workloads"):
             perf.measure_timing_ensemble(lanes=2, workloads=[])
 
-    def test_measure_ensemble_rejects_unknown_workloads_too(self):
+    def test_measure_ensemble_rejects_unknown_workloads_too(
+            self, monkeypatch):
         with pytest.raises(perf.ReproError, match="no-such-workload"):
             perf.measure_ensemble(lanes=2, backend="python",
                                   workloads=["no-such-workload"])
+        # Validated before the engine is found unavailable.
+        monkeypatch.setenv("REPRO_ENSEMBLE", "0")
+        with pytest.raises(perf.ReproError, match="no-such-workload"):
+            perf.measure_ensemble(lanes=2, workloads=["no-such-workload"])
 
 
 class TestTimingEnsembleGate:

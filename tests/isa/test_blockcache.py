@@ -1,6 +1,6 @@
 """Unit tests for the basic-block dispatch engine (repro.isa.blockcache):
-row decode fidelity, CFG block partitioning, fingerprint-keyed process
-caching, and the REPRO_BLOCK_DISPATCH kill switch."""
+row decode fidelity, CFG block partitioning and fingerprint-keyed
+process caching."""
 
 import pytest
 
@@ -100,6 +100,10 @@ def test_cache_shares_decode_across_equal_programs():
     first = blockcache.get_block_program(sample_program())
     second = blockcache.get_block_program(sample_program())
     assert first is second
+    # rows_for serves the cached decode, equal to a fresh one.
+    rows = blockcache.rows_for(sample_program())
+    assert rows is first.rows
+    assert rows == blockcache.decode_rows(sample_program())
     # A different program (name participates in the fingerprint) must
     # not collide.
     other = blockcache.get_block_program(sample_program(name="other"))
@@ -115,20 +119,3 @@ def test_block_fns_compiled_lazily_and_once():
     for start, (fn, length) in fns.items():
         assert callable(fn)
         assert length == dict(block_program.blocks)[start] - start
-
-
-def test_env_flag_disables_engine(monkeypatch):
-    monkeypatch.delenv(blockcache.ENV_FLAG, raising=False)
-    assert blockcache.enabled()
-    monkeypatch.setenv(blockcache.ENV_FLAG, "0")
-    assert not blockcache.enabled()
-    # rows_for still decodes (rows are pure metadata) but bypasses the
-    # process cache entirely.
-    program = sample_program()
-    rows_one = blockcache.rows_for(program)
-    rows_two = blockcache.rows_for(program)
-    assert rows_one == rows_two
-    assert rows_one is not rows_two
-    assert not blockcache._CACHE
-    monkeypatch.setenv(blockcache.ENV_FLAG, "1")
-    assert blockcache.rows_for(program) is blockcache.rows_for(program)

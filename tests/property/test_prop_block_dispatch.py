@@ -1,7 +1,9 @@
-"""Property pin for the block dispatch engine: on fuzzer-random, linted
-programs, block execution is indistinguishable from per-instruction
-stepping — functionally (interpreter state + stats) and in time
-(SST cycle counts).
+"""Property pins for the generated execution engines, on fuzzer-random,
+linted programs: block execution is indistinguishable from
+per-instruction stepping (interpreter state + stats), and the SST
+speculative loop is indistinguishable with the sanitizer and taint
+tracker attached (cycles, architectural state, mode breakdown,
+episodes) on every SST-family machine.
 
 Reuses the random-program strategy from
 :mod:`tests.property.test_prop_random_programs`."""
@@ -11,41 +13,47 @@ import os
 from hypothesis import given, settings
 
 from repro.analysis.proglint import lint_program
-from repro.config import SSTConfig
-from repro.core import SSTCore
-from repro.isa import blockcache
+from repro.core import SSTCore, sst_dispatch
 from repro.isa.interpreter import Interpreter
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.workloads.fuzz import CORE_FACTORIES
 from tests.conftest import small_hierarchy_config
 from tests.property.test_prop_random_programs import (
     build_program,
     program_shape,
 )
 
+CHECKERS = ("REPRO_SANITIZE", "REPRO_TAINT")
 
-class _flag:
-    """Set REPRO_BLOCK_DISPATCH for one with-block (hypothesis runs the
-    test body many times per pytest call, so monkeypatch can't scope
-    this)."""
 
-    def __init__(self, value):
-        self.value = value
+class _checkers:
+    """Attach (or detach) both checkers for one with-block (hypothesis
+    runs the test body many times per pytest call, so monkeypatch
+    can't scope this)."""
+
+    def __init__(self, on):
+        self.on = on
 
     def __enter__(self):
-        self.saved = os.environ.get(blockcache.ENV_FLAG)
-        os.environ[blockcache.ENV_FLAG] = self.value
+        self.saved = {name: os.environ.get(name) for name in CHECKERS}
+        for name in CHECKERS:
+            if self.on:
+                os.environ[name] = "1"
+            else:
+                os.environ.pop(name, None)
 
     def __exit__(self, *exc):
-        if self.saved is None:
-            os.environ.pop(blockcache.ENV_FLAG, None)
-        else:
-            os.environ[blockcache.ENV_FLAG] = self.saved
+        for name, value in self.saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
-def _interp(program, flag):
-    with _flag(flag):
-        interp = Interpreter(program)
-        interp.run()
+def _stepped(program):
+    interp = Interpreter(program)
+    while not interp.halted:
+        interp.step()
     return interp
 
 
@@ -58,26 +66,39 @@ def test_block_interpreter_matches_stepping(shape):
     # cache: a second lint of an equal program must agree.
     diagnostics = lint_program(program)
     assert lint_program(build_program(shape)) == diagnostics
-    blocked = _interp(program, "1")
-    stepped = _interp(program, "0")
+    blocked = Interpreter(program)
+    blocked.run()
+    stepped = _stepped(program)
     assert blocked.state.regs == stepped.state.regs
     assert blocked.state.memory == stepped.state.memory
     assert blocked.state.pc == stepped.state.pc
     assert blocked.stats == stepped.stats
 
 
+def _sst_run(factory, program, checked):
+    with _checkers(checked):
+        hierarchy = MemoryHierarchy(small_hierarchy_config(latency=60))
+        core = factory(program, hierarchy)
+        if not isinstance(core, SSTCore):
+            return None
+        assert (core.sanitizer is not None) is checked
+        assert core._spec_loop_fn in sst_dispatch._LOOP_CACHE.values()
+        return core.run(max_instructions=2_000_000)
+
+
 @settings(max_examples=15, deadline=None)
 @given(program_shape)
-def test_sst_cycles_identical_with_blocks_off(shape):
+def test_sst_identical_with_checkers_on(shape):
     program = build_program(shape)
-    results = {}
-    for flag in ("1", "0"):
-        with _flag(flag):
-            hierarchy = MemoryHierarchy(small_hierarchy_config(latency=60))
-            results[flag] = SSTCore(program, hierarchy, SSTConfig()).run(
-                max_instructions=2_000_000
-            )
-    assert results["1"].cycles == results["0"].cycles
-    assert results["1"].instructions == results["0"].instructions
-    assert results["1"].state.regs == results["0"].state.regs
-    assert results["1"].state.memory == results["0"].state.memory
+    for _name, factory in CORE_FACTORIES:
+        plain = _sst_run(factory, program, False)
+        if plain is None:
+            continue
+        checked = _sst_run(factory, program, True)
+        assert plain.cycles == checked.cycles
+        assert plain.instructions == checked.instructions
+        assert plain.state.regs == checked.state.regs
+        assert plain.state.memory == checked.state.memory
+        assert plain.extra["sst"].mode_cycles == \
+            checked.extra["sst"].mode_cycles
+        assert plain.extra["sst"].episodes == checked.extra["sst"].episodes

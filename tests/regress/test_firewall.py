@@ -1,7 +1,7 @@
 """The baseline firewall engine: observation kinds, capture/verify
 modes, strictness, reporting, the simulate()/BenchEnv/engine hook
 points, and bit-identity of behavior across execution variants
-(block-dispatch off, taint tracking on, ensemble numpy-vs-python)."""
+(sanitizer on, taint tracking on, ensemble numpy-vs-python)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.baselines.core_base import DEFAULT_MAX_INSTRUCTIONS
 from repro.config import sst_machine
 from repro.experiments.bench_env import BenchEnv
 from repro.experiments.engine import ExperimentEngine
-from repro.isa import blockcache
 from repro.regress.firewall import (
     MODE_CAPTURE,
     MODE_OFF,
@@ -152,25 +151,6 @@ def test_nonstrict_verify_collects_instead_of_raising(store, tiny_suite):
 # -- bit-identity across execution variants ---------------------------------
 
 
-def test_behavior_identical_with_block_dispatch_off(store, monkeypatch,
-                                                    tiny_suite):
-    """The decode-once dispatch engine is a pure simulator-speed
-    optimization: behavior captured with it on verifies with it off."""
-    program = tiny_suite["oltp-chase"]
-    monkeypatch.setenv(blockcache.ENV_FLAG, "1")
-    captured = run_point(program)
-    capture = BaselineFirewall(store, mode="capture")
-    capture.observe_point(sst_machine(), program,
-                          DEFAULT_MAX_INSTRUCTIONS, captured)
-
-    monkeypatch.setenv(blockcache.ENV_FLAG, "0")
-    plain = run_point(program)
-    verify = BaselineFirewall(store, mode="verify")
-    assert verify.observe_point(
-        sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, plain
-    ) == "verified"
-
-
 def test_behavior_identical_with_taint_tracking_on(store, monkeypatch,
                                                    tiny_suite):
     """Taint tracking is observational: its extra payload never enters
@@ -187,6 +167,25 @@ def test_behavior_identical_with_taint_tracking_on(store, monkeypatch,
     verify = BaselineFirewall(store, mode="verify")
     assert verify.observe_point(
         sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, tainted
+    ) == "verified"
+
+
+def test_behavior_identical_with_sanitizer_on(store, monkeypatch,
+                                              tiny_suite):
+    """The sanitizer is observational: behavior captured without it
+    verifies with it attached (and the SST core on its checked loop)."""
+    program = tiny_suite["oltp-chase"]
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    baseline = run_point(program)
+    capture = BaselineFirewall(store, mode="capture")
+    capture.observe_point(sst_machine(), program,
+                          DEFAULT_MAX_INSTRUCTIONS, baseline)
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    sanitized = run_point(program)
+    verify = BaselineFirewall(store, mode="verify")
+    assert verify.observe_point(
+        sst_machine(), program, DEFAULT_MAX_INSTRUCTIONS, sanitized
     ) == "verified"
 
 

@@ -40,6 +40,13 @@ def scalar_outcomes(tasks, monkeypatch, **runner_kwargs):
         monkeypatch.delenv("REPRO_TIMING_ENSEMBLE")
 
 
+def batching_on(monkeypatch):
+    """Precondition of the batching assertions: the sanitizer and the
+    fault injector disable lane batching by design."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+
+
 def test_batched_results_identical_to_scalar(config, monkeypatch):
     programs = lane_programs() + lane_programs("fp-stream")
     tasks = [SimTask(config=config, program=p, verify=True)
@@ -111,6 +118,8 @@ def test_ineligible_config_skips_batching(monkeypatch):
 
 
 def test_engine_failure_falls_back_to_scalar(config, monkeypatch):
+    batching_on(monkeypatch)
+
     def boom(*args, **kwargs):
         raise RuntimeError("engine exploded")
 
@@ -128,6 +137,7 @@ def test_engine_failure_falls_back_to_scalar(config, monkeypatch):
 
 
 def test_groups_wider_than_lane_cap_chunk(config, monkeypatch):
+    batching_on(monkeypatch)
     monkeypatch.setenv("REPRO_ENSEMBLE_LANES", "2")
     widths = []
     import repro.sim.timing_ensemble as te
