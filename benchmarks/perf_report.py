@@ -26,14 +26,12 @@ from typing import List, Optional
 
 try:
     from repro.experiments.perf import (
-        DEFAULT_ENSEMBLE_MIN_SPEEDUP,
         DEFAULT_PERF_TOLERANCE,
         DEFAULT_TIMING_ENSEMBLE_MIN_SPEEDUP,
         REPORT_SCHEMA,
         aggregate,
         load_baseline,
         measure,
-        measure_ensemble,
         measure_timing_ensemble,
         perf_entry,
         render,
@@ -49,14 +47,12 @@ except ImportError as exc:  # pragma: no cover — setup error, not logic
     ) from None
 
 __all__ = [
-    "DEFAULT_ENSEMBLE_MIN_SPEEDUP",
     "DEFAULT_PERF_TOLERANCE",
     "DEFAULT_TIMING_ENSEMBLE_MIN_SPEEDUP",
     "REPORT_SCHEMA",
     "aggregate",
     "load_baseline",
     "measure",
-    "measure_ensemble",
     "measure_timing_ensemble",
     "perf_entry",
     "render",

@@ -60,12 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="FRACTION",
                         help="allowed --perf-smoke throughput drop "
                              "(default 0.30 = 30%%)")
-    parser.add_argument("--ensemble-min-speedup", type=float,
-                        default=None, metavar="RATIO",
-                        help="--perf-smoke floor for the N=64 ensemble "
-                             "aggregate speedup over the scalar "
-                             "interpreter (default: the package's "
-                             "loose gate)")
     parser.add_argument("--timing-ensemble-min-speedup", type=float,
                         default=None, metavar="RATIO",
                         help="--perf-smoke floor for the N=64 batched "
@@ -83,8 +77,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         import perf_report
 
         kwargs = {"tolerance": args.perf_tolerance}
-        if args.ensemble_min_speedup is not None:
-            kwargs["ensemble_min_speedup"] = args.ensemble_min_speedup
         if args.timing_ensemble_min_speedup is not None:
             kwargs["timing_min_speedup"] = (
                 args.timing_ensemble_min_speedup

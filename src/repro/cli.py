@@ -29,11 +29,13 @@ and equally runnable as ``python -m repro``.  Subcommands:
     insts/host-second drops by more than ``--tolerance``).
 
 ``repro ensemble bench [--lanes N] [--scale S] [--workloads ...]
-[--backend numpy|python] [--json]``
-    Measure the vectorized lockstep-ensemble backend
-    (:mod:`repro.sim.ensemble`) against the scalar golden interpreter
-    over seed-varied lane batches of the workload suite, reporting
-    per-workload and aggregate insts/host-second and speedup.
+[--json]``
+    Measure the lane-batched in-order timing ensemble
+    (:mod:`repro.sim.timing_ensemble`) against lane-by-lane scalar
+    in-order runs over seed-varied lane batches of the workload suite
+    (default: the ``compute-matmul`` gate workload), reporting
+    per-workload and aggregate insts/host-second and speedup.  Every
+    batched lane is checked against its scalar twin.
 
 ``repro baseline capture|verify|promote|retire|diff|list``
     Drive the behavioral baseline firewall (:mod:`repro.regress`).
@@ -67,12 +69,12 @@ and equally runnable as ``python -m repro``.  Subcommands:
 ``repro fuzz [--max-examples N] [--out PATH]``
     Drive the differential program fuzzer
     (:mod:`repro.workloads.fuzz`): random proglint-clean programs
-    through every core variant and the ensemble backend, checked
-    against the golden interpreter (with ``REPRO_SANITIZE=1`` and
-    ``REPRO_TAINT=1`` the SST variants run the checked loop).  A
-    divergence is
-    shrunk to a minimal program, printed, optionally written as a JSON
-    artifact, and exits 1.
+    through every core variant and the lane-batched timing ensemble,
+    checked against the golden interpreter and the scalar in-order
+    core (with ``REPRO_SANITIZE=1`` and ``REPRO_TAINT=1`` the SST
+    variants run the checked loop).  A divergence is shrunk to a
+    minimal program, printed, optionally written as a JSON artifact,
+    and exits 1.
 
 Expectation failures are *reported* but do not fail a run by default:
 at smoke scale the qualitative shapes are indicative only.  Pass
@@ -346,28 +348,14 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
 def _cmd_ensemble_bench(args: argparse.Namespace) -> int:
     # Deferred import: pulls in the workload suite + (optionally) numpy.
     from repro.experiments import perf
-    from repro.sim import ensemble
 
-    if args.backend == ensemble.BACKEND_NUMPY and not (
-            ensemble.numpy_available()):
-        print("error: the numpy ensemble backend requires numpy "
-              "(install the 'ensemble' extra: pip install "
-              "'repro[ensemble]')", file=sys.stderr)
-        return 2
     try:
-        # args.workloads is None when the flag is absent (all
-        # workloads) and [] when given empty — the latter is a
+        # args.workloads is None when the flag is absent (the gate
+        # workload) and [] when given empty — the latter is a
         # selection error the measurement layer diagnoses.
-        if args.timing:
-            section = perf.measure_timing_ensemble(
-                lanes=args.lanes, scale=args.scale,
-                workloads=args.workloads,
-            )
-        else:
-            section = perf.measure_ensemble(
-                lanes=args.lanes, scale=args.scale,
-                workloads=args.workloads, backend=args.backend,
-            )
+        section = perf.measure_timing_ensemble(
+            lanes=args.lanes, scale=args.scale, workloads=args.workloads,
+        )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -378,10 +366,8 @@ def _cmd_ensemble_bench(args: argparse.Namespace) -> int:
         print(f"ensemble bench unavailable: "
               f"{section.get('reason', 'unknown')}", file=sys.stderr)
         return 2
-    mode = "timing (in-order)" if args.timing else "functional"
     print(f"ensemble bench: N={section['lanes']} lanes, "
-          f"{section['scale']} scale, {section['backend']} backend, "
-          f"{mode}")
+          f"{section['scale']} scale, {section['machine']} timing")
     print(f"{'workload':<18s} {'insts':>10s} {'scalar s':>9s} "
           f"{'ensemble s':>11s} {'speedup':>8s}")
     for name, row in section["workloads"].items():
@@ -897,13 +883,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_perf_report.set_defaults(func=_cmd_perf_report)
 
     ensemble = top.add_parser(
-        "ensemble", help="vectorized lockstep-ensemble tools")
+        "ensemble", help="lane-batched timing-ensemble tools")
     ensemble_sub = ensemble.add_subparsers(dest="subcommand",
                                            required=True)
 
     cmd_ens_bench = ensemble_sub.add_parser(
-        "bench", help="measure ensemble-vs-scalar throughput over "
-                      "seed-varied lane batches of the workload suite")
+        "bench", help="measure batched-vs-scalar in-order timing "
+                      "throughput over seed-varied lane batches")
     cmd_ens_bench.add_argument("--lanes", type=int, default=64,
                                help="ensemble width N (default: 64)")
     cmd_ens_bench.add_argument("--scale", default="tiny",
@@ -913,15 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_ens_bench.add_argument("--workloads", nargs="*", default=None,
                                metavar="NAME",
                                help="subset of suite workload names "
-                                    "(default: all seven)")
-    cmd_ens_bench.add_argument("--backend", default=None,
-                               choices=("numpy", "python"),
-                               help="force a backend (default: "
-                                    "auto-select)")
-    cmd_ens_bench.add_argument("--timing", action="store_true",
-                               help="bench the lane-batched *timing* "
-                                    "ensemble (in-order core) instead "
-                                    "of the functional interpreter")
+                                    "(default: compute-matmul)")
     cmd_ens_bench.add_argument("--json", action="store_true",
                                help="machine-readable output")
     cmd_ens_bench.set_defaults(func=_cmd_ensemble_bench)

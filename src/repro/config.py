@@ -420,11 +420,8 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #   REPRO_CACHE             "0" disables the result cache
 #   REPRO_CACHE_DIR         result-cache directory override
 #   REPRO_CACHE_MAX_BYTES   LRU size cap for the result cache
-#   REPRO_ENSEMBLE          "0" disables the vectorized ensemble
-#                           backend (falls back to the scalar
-#                           per-lane interpreter loop)
-#   REPRO_ENSEMBLE_LANES    lane-chunk width for run_ensemble
-#                           (default 64)
+#   REPRO_ENSEMBLE_LANES    chunk width of ParallelRunner's
+#                           timing-ensemble batches (default 64)
 #   REPRO_TIMING_ENSEMBLE   "0" disables lane-batched *timing*
 #                           simulation (repro.sim.timing_ensemble);
 #                           eligible task groups then run lane-by-lane
@@ -443,7 +440,6 @@ def ooo_machine(hierarchy: HierarchyConfig = HierarchyConfig(),
 #   REPRO_FAULT_INJECT      deterministic fault-injection spec
 # ---------------------------------------------------------------------------
 
-ENSEMBLE_ENV = "REPRO_ENSEMBLE"
 ENSEMBLE_LANES_ENV = "REPRO_ENSEMBLE_LANES"
 TIMING_ENSEMBLE_ENV = "REPRO_TIMING_ENSEMBLE"
 DEFAULT_ENSEMBLE_LANES = 64
@@ -484,13 +480,6 @@ def env_flag(name: str, default: bool = True) -> bool:
     return raw.strip().lower() in ("1", "on", "true")
 
 
-def ensemble_enabled() -> bool:
-    """True unless ``REPRO_ENSEMBLE=0`` — the ensemble kill switch.
-    When off, ensemble entry points run every lane through the scalar
-    golden interpreter."""
-    return env_flag(ENSEMBLE_ENV, default=True)
-
-
 def timing_ensemble_enabled() -> bool:
     """True unless ``REPRO_TIMING_ENSEMBLE=0`` — the kill switch for
     lane-batched timing simulation (:mod:`repro.sim.timing_ensemble`).
@@ -500,8 +489,9 @@ def timing_ensemble_enabled() -> bool:
 
 
 def ensemble_lanes() -> int:
-    """Lane-chunk width for ensemble execution (``REPRO_ENSEMBLE_LANES``,
-    default 64): cold lanes are vectorized in chunks of this many."""
+    """Chunk width of timing-ensemble batches (``REPRO_ENSEMBLE_LANES``,
+    default 64): ParallelRunner hands same-shape in-order groups to
+    the lane-batched engine this many lanes at a time."""
     lanes = env_int(ENSEMBLE_LANES_ENV, DEFAULT_ENSEMBLE_LANES)
     _require(lanes >= 1, f"{ENSEMBLE_LANES_ENV} must be >= 1, got {lanes}")
     return lanes

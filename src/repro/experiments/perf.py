@@ -44,7 +44,6 @@ from typing import Any, Dict, List, Optional
 from repro.cmp import Multicore
 from repro.config import (
     SSTConfig,
-    ensemble_enabled,
     inorder_machine,
     timing_ensemble_enabled,
 )
@@ -52,22 +51,15 @@ from repro.errors import ReproError
 from repro.experiments.bench_env import BenchEnv
 from repro.experiments.results import default_results_dir, perf_baseline_path
 from repro.regress.semid import dump_stable
-from repro.isa.interpreter import Interpreter
 from repro.sim.machine import Machine
 from repro.workloads import hash_join
 from repro.workloads.suite import WORKLOAD_FACTORIES, suite_params
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 # Default regression gate for run_perf_smoke (CLI flag --perf-tolerance
 # in run_all.py overrides it per run).
 DEFAULT_PERF_TOLERANCE = 0.30
-
-# Minimum aggregate speedup of the N=64 numpy ensemble over the scalar
-# interpreter on the tiny suite.  Measured ~2.8x on the reference host;
-# the gate is deliberately loose so slow/shared CI runners do not flap,
-# while still catching a vectorization regression back to ~1x.
-DEFAULT_ENSEMBLE_MIN_SPEEDUP = 1.5
 
 # Minimum aggregate speedup of the N=64 batched in-order *timing*
 # ensemble over lane-by-lane scalar Machine runs on its gate workload
@@ -291,7 +283,6 @@ def measure(tag: str = "report") -> Dict[str, Any]:
         },
         "entries": entries,
         "aggregate": single_aggregate,
-        "ensemble": measure_ensemble(),
         "timing_ensemble": measure_timing_ensemble(),
     }
 
@@ -318,121 +309,16 @@ def _select_workloads(scale: str, workloads: Optional[List[str]]
     return {name: params[name] for name in workloads}
 
 
-def measure_ensemble(lanes: int = 64, scale: str = "tiny",
-                     workloads: Optional[List[str]] = None,
-                     backend: Optional[str] = None) -> Dict[str, Any]:
-    """Ensemble-vs-scalar throughput over seed-varied lane batches.
-
-    For each workload in the ``scale`` suite this builds ``lanes``
-    seed-varied instances, runs them one at a time through the scalar
-    golden interpreter, then once through the numpy
-    :class:`repro.sim.ensemble.EnsembleInterpreter`, and reports both
-    walls plus the per-workload and aggregate speedup (sum of scalar
-    wall over sum of ensemble wall, matching the module's
-    wall-time-weighted rollup semantics).  Returns
-    ``{"available": False, "reason": ...}`` when numpy is missing or
-    ``REPRO_ENSEMBLE=0``, so snapshots stay writable everywhere.
-    ``backend`` forces one (``"python"`` measures the pure-Python lane
-    loop, which is expected near 1x); the default requires the numpy
-    backend since that is the number the smoke gate tracks.
-    """
-    from repro.sim import ensemble
-
-    params = _select_workloads(scale, workloads)
-    base = {"lanes": lanes, "scale": scale}
-    if backend is None:
-        if not ensemble.numpy_available():
-            return {"available": False, "reason": "numpy not installed",
-                    **base}
-        if not ensemble_enabled():
-            return {"available": False, "reason": "REPRO_ENSEMBLE=0",
-                    **base}
-        backend = ensemble.BACKEND_NUMPY
-    else:
-        try:
-            backend = ensemble.resolve_backend(backend)
-        except ensemble.EnsembleDependencyError as exc:
-            return {"available": False, "reason": str(exc), **base}
-
-    rows: Dict[str, Any] = {}
-    total_insts = 0
-    total_scalar = 0.0
-    total_vector = 0.0
-    for name, kwargs in params.items():
-        programs = [
-            WORKLOAD_FACTORIES[name](
-                **kwargs, seed=100 + lane, name=f"{name}@lane{lane}"
-            )
-            for lane in range(lanes)
-        ]
-        started = time.perf_counter()
-        insts = 0
-        for program in programs:
-            interp = Interpreter(program)
-            interp.run()
-            insts += interp.stats.instructions
-        # Rounded before use so the stored walls reproduce the stored
-        # speedups (same contract as perf_entry/aggregate).
-        scalar_wall = round(time.perf_counter() - started, 4)
-
-        started = time.perf_counter()
-        outcomes = ensemble.EnsembleInterpreter(
-            programs, backend=backend
-        ).run()
-        vector_wall = round(time.perf_counter() - started, 4)
-        vector_insts = sum(o.stats.instructions for o in outcomes)
-        if vector_insts != insts:  # pragma: no cover - differential guard
-            raise ReproError(
-                f"ensemble ran {vector_insts} instructions for {name} "
-                f"where the scalar interpreter ran {insts}"
-            )
-
-        total_insts += insts
-        total_scalar += scalar_wall
-        total_vector += vector_wall
-        rows[name] = {
-            "instructions": insts,
-            "scalar_wall_seconds": scalar_wall,
-            "ensemble_wall_seconds": vector_wall,
-            "speedup": (
-                round(scalar_wall / vector_wall, 4) if vector_wall > 0
-                else None
-            ),
-        }
-
-    return {
-        "available": True,
-        "backend": backend,
-        **base,
-        "workloads": rows,
-        "aggregate": {
-            "instructions": total_insts,
-            "scalar_insts_per_host_second": (
-                round(total_insts / total_scalar) if total_scalar > 0
-                else None
-            ),
-            "ensemble_insts_per_host_second": (
-                round(total_insts / total_vector) if total_vector > 0
-                else None
-            ),
-            "speedup": (
-                round(total_scalar / total_vector, 4) if total_vector > 0
-                else None
-            ),
-        },
-    }
-
-
 def measure_timing_ensemble(lanes: int = 64, scale: str = "tiny",
                             workloads: Optional[List[str]] = None
                             ) -> Dict[str, Any]:
     """Batched in-order *timing* ensemble vs lane-by-lane scalar runs.
 
-    The timing analogue of :func:`measure_ensemble`: for each workload,
-    ``lanes`` seed-varied instances run one at a time through scalar
-    :class:`~repro.sim.machine.Machine` in-order simulations, then once
-    through :func:`repro.sim.timing_ensemble.run_timing_ensemble`, with
-    every lane's batched :class:`CoreResult` differentially checked
+    For each workload, ``lanes`` seed-varied instances run one at a
+    time through scalar :class:`~repro.sim.machine.Machine` in-order
+    simulations, then once through
+    :func:`repro.sim.timing_ensemble.run_timing_ensemble`, with every
+    lane's batched :class:`CoreResult` differentially checked
     against its scalar twin (bit-identity is the engine's contract, so
     any mismatch is a hard :class:`ReproError`, not a statistic).
 
@@ -449,7 +335,7 @@ def measure_timing_ensemble(lanes: int = 64, scale: str = "tiny",
     missing or the engine is disabled/ineligible, so snapshots stay
     writable everywhere.
     """
-    from repro.sim import ensemble, timing_ensemble
+    from repro.sim import timing_ensemble
 
     # A bad selection is the caller's error whatever the engine state.
     if workloads is None:
@@ -457,7 +343,7 @@ def measure_timing_ensemble(lanes: int = 64, scale: str = "tiny",
     params = _select_workloads(scale, workloads)
 
     base = {"lanes": lanes, "scale": scale}
-    if not ensemble.numpy_available():
+    if not timing_ensemble.numpy_available():
         return {"available": False, "reason": "numpy not installed", **base}
     config = inorder_machine()
     if not timing_ensemble.timing_ensemble_eligible(config):
@@ -571,20 +457,6 @@ def render(payload: Dict[str, Any]) -> str:
             f"speedup vs baseline [{speedup.get('baseline_tag')}]: "
             f"{speedup['aggregate']:.2f}x aggregate"
         )
-    ens = payload.get("ensemble")
-    if isinstance(ens, dict):
-        if ens.get("available"):
-            agg = ens["aggregate"]
-            rate = agg["ensemble_insts_per_host_second"]
-            lines.append(
-                f"ensemble N={ens['lanes']} ({ens['scale']}): "
-                f"{rate if rate is not None else '-'} insts/host-sec, "
-                f"{agg['speedup']:.2f}x vs scalar"
-            )
-        else:
-            lines.append(
-                f"ensemble: unavailable ({ens.get('reason', 'unknown')})"
-            )
     tens = payload.get("timing_ensemble")
     if isinstance(tens, dict):
         if tens.get("available"):
@@ -610,7 +482,6 @@ def render(payload: Dict[str, Any]) -> str:
 
 def run_perf_smoke(tolerance: float = DEFAULT_PERF_TOLERANCE,
                    baseline_path: Optional[pathlib.Path] = None,
-                   ensemble_min_speedup: float = DEFAULT_ENSEMBLE_MIN_SPEEDUP,
                    timing_min_speedup: float = (
                        DEFAULT_TIMING_ENSEMBLE_MIN_SPEEDUP)
                    ) -> int:
@@ -624,12 +495,11 @@ def run_perf_smoke(tolerance: float = DEFAULT_PERF_TOLERANCE,
     fails if aggregate insts/host-second dropped by more than
     ``tolerance`` (a fraction: 0.30 fails on a >30% regression).
 
-    When the snapshot carries an available ensemble section, its
-    aggregate ensemble-vs-scalar speedup is additionally gated against
-    ``ensemble_min_speedup`` (a loose absolute floor, not a baseline
+    When the snapshot carries an available timing-ensemble section,
+    its aggregate batched-vs-scalar speedup is additionally gated
+    against ``timing_min_speedup`` (an absolute floor, not a baseline
     ratio — the scalar reference is re-measured in the same run, which
-    cancels out host speed).  The timing-ensemble section is gated the
-    same way against ``timing_min_speedup``.
+    cancels out host speed).
     """
     os.environ["REPRO_BENCH_SMOKE"] = "1"
     if baseline_path is None:
@@ -645,14 +515,6 @@ def run_perf_smoke(tolerance: float = DEFAULT_PERF_TOLERANCE,
     print(f"wrote {baseline_path}")
 
     status = 0
-    ens = payload.get("ensemble") or {}
-    if ens.get("available"):
-        ens_speedup = ens["aggregate"]["speedup"]
-        if ens_speedup is not None and ens_speedup < ensemble_min_speedup:
-            print(f"FAIL: ensemble aggregate speedup {ens_speedup:.2f}x "
-                  f"is below the {ensemble_min_speedup:.2f}x floor",
-                  file=sys.stderr)
-            status = 1
     tens = payload.get("timing_ensemble") or {}
     if tens.get("available"):
         t_speedup = tens["aggregate"]["speedup"]

@@ -124,10 +124,11 @@ class Program:
         the same opcodes, register operands and branch targets at every
         PC — i.e. the same control-flow graph and the same dataflow
         wiring — and differ only in immediate values and initial data.
-        That is the lane-compatibility contract of the vectorized
-        ensemble backend (:mod:`repro.sim.ensemble`): parameter-varied
-        instances of one workload generator share a shape, so one set of
-        batched block kernels can execute all of them in lockstep.
+        That is the lane-compatibility contract of the lane-batched
+        timing engine (:mod:`repro.sim.timing_ensemble`):
+        parameter-varied instances of one workload generator share a
+        shape, so one decoded instruction stream drives all of them in
+        lockstep.
         Memoized like :meth:`fingerprint`.
         """
         if self._shape_fingerprint is None:

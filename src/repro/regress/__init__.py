@@ -1,8 +1,8 @@
 """``repro.regress`` — the behavioral baseline firewall.
 
 Capture/replay regression governance for simulation behavior: every
-simulation point, ensemble lane, multicore run, and experiment document
-can be captured as a schema-versioned *baseline record* keyed by its
+simulation point, multicore run, and experiment document can be
+captured as a schema-versioned *baseline record* keyed by its
 semantic ID, then re-verified on every later run of the same inputs.
 Intentional behavior changes must be *promoted* explicitly; everything
 else is a red build.

@@ -12,7 +12,7 @@ JSON file under ``benchmarks/baselines/``:
       "schema": 1,                  # BASELINE_SCHEMA_VERSION
       "sim_schema": 2,              # repro.sim.cache.SIM_SCHEMA_VERSION
       "semid": "<sha256>",          # == the addressing filename stem
-      "kind": "point" | "ensemble" | "multicore" | "experiment",
+      "kind": "point" | "multicore" | "experiment",
       "scenario": {...},            # human-readable input description
       "behavior": {...},            # the governed expected behavior
       "candidate_behavior": {...}|null,  # pending divergent recapture
@@ -63,7 +63,7 @@ STATUS_APPROVED = "approved"
 STATUS_RETIRED = "retired"
 STATUSES = (STATUS_CANDIDATE, STATUS_APPROVED, STATUS_RETIRED)
 
-KINDS = ("point", "ensemble", "multicore", "experiment")
+KINDS = ("point", "multicore", "experiment")
 
 # The full set of legal status transitions.  Promotion from ``approved``
 # is legal only when a divergent recapture is pending (the status does

@@ -313,7 +313,7 @@ class BaselineStore:
         report = CrossCheckReport()
         for record in self.records():
             report.records += 1
-            if record.kind not in ("point", "ensemble"):
+            if record.kind != "point":
                 report.unverifiable += 1
                 continue
             result = cache.load(record.semid)

@@ -11,20 +11,6 @@ from repro.sim.cache import (
     result_key,
 )
 from repro.sim.compare import compare_machines, speedup_table
-from repro.sim.ensemble import (
-    BACKEND_NUMPY,
-    BACKEND_PYTHON,
-    EnsembleError,
-    EnsembleDependencyError,
-    EnsembleInterpreter,
-    EnsembleTask,
-    EnsembleTaskError,
-    LaneOutcome,
-    ensemble_key,
-    numpy_available,
-    resolve_backend,
-    run_ensemble,
-)
 from repro.sim.faults import FaultPlan, fault_plan_from_env, parse_fault_spec
 from repro.sim.machine import Machine, build_core, build_hierarchy
 from repro.sim.parallel import (
@@ -45,7 +31,7 @@ from repro.sim.resilience import (
     resolve_retries,
 )
 from repro.sim.runner import simulate, verify_against_golden
-from repro.sim.sweep import ensemble_sweep, sweep, sweep_many
+from repro.sim.sweep import sweep, sweep_many
 from repro.sim.timing_ensemble import (
     TimingLaneOutcome,
     run_timing_ensemble,
@@ -53,19 +39,10 @@ from repro.sim.timing_ensemble import (
 )
 
 __all__ = [
-    "BACKEND_NUMPY",
-    "BACKEND_PYTHON",
     "build_core",
     "build_hierarchy",
     "cache_from_env",
     "compare_machines",
-    "ensemble_key",
-    "ensemble_sweep",
-    "EnsembleDependencyError",
-    "EnsembleError",
-    "EnsembleInterpreter",
-    "EnsembleTask",
-    "EnsembleTaskError",
     "fault_plan_from_env",
     "FaultPlan",
     "FsckReport",
@@ -73,19 +50,15 @@ __all__ = [
     "KIND_POOL_TIMEOUT",
     "KIND_TASK_ERROR",
     "KIND_WORKER_CRASH",
-    "LaneOutcome",
     "Machine",
-    "numpy_available",
     "ParallelRunner",
     "parse_fault_spec",
-    "resolve_backend",
     "resolve_jobs",
     "resolve_retries",
     "result_key",
     "ResultCache",
     "ResultCacheStats",
     "RetryPolicy",
-    "run_ensemble",
     "run_simulations",
     "run_timing_ensemble",
     "SIM_SCHEMA_VERSION",

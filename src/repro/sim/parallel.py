@@ -355,34 +355,6 @@ class ParallelRunner:
             )
         return [outcome.result for outcome in outcomes]
 
-    def run_ensemble(self, task: "Any", *,
-                     on_error: str = "raise",
-                     backend: Optional[str] = None,
-                     lanes: Optional[int] = None
-                     ) -> List[Optional[CoreResult]]:
-        """Run one :class:`repro.sim.ensemble.EnsembleTask` through the
-        vectorized ensemble backend, reusing this runner's cache and
-        worker budget.
-
-        Lane results are content-addressed per lane program
-        (:func:`repro.sim.ensemble.ensemble_key`), so warm lanes load
-        from ``self.cache`` and only cold lanes execute; cold lanes are
-        chunked ``lanes`` wide and chunks are spread over up to
-        ``self.jobs`` worker processes.  Semantics of ``on_error``
-        match :meth:`run`.
-        """
-        from repro.sim.ensemble import run_ensemble
-
-        return run_ensemble(
-            list(task.programs),
-            max_steps=task.max_steps,
-            cache=self.cache,
-            backend=backend,
-            lanes=lanes,
-            jobs=self.jobs,
-            on_error=on_error,
-        )
-
     # ------------------------------------------------------------------
     # Caching.
     # ------------------------------------------------------------------

@@ -85,10 +85,9 @@ def sweep_many(programs: Sequence[Program],
     quarantined and re-simulated (they do not raise under either
     mode), and ``on_error`` applies to simulation failures only.
 
-    For seed-varied instances of *one* workload shape, the vectorized
-    ensemble backend (:func:`repro.sim.ensemble.run_ensemble`, or
-    :func:`ensemble_sweep` below) executes all instances in lockstep
-    instead of one sweep task per instance.
+    For seed-varied instances of *one* workload shape on an in-order
+    machine, the runner batches the instances through the lane-axis
+    timing engine (see the module docstring).
     """
     axis_values = list(axis)
     tasks = [
@@ -107,44 +106,3 @@ def sweep_many(programs: Sequence[Program],
         if result is not None:
             out[task.program.name].append((task.tag, result))
     return out
-
-
-def ensemble_sweep(make_program: Callable[[object], Program],
-                   axis: Iterable, *,
-                   max_steps: Optional[int] = None,
-                   jobs: Optional[int] = None,
-                   cache: Optional[ResultCache] = None,
-                   backend: Optional[str] = None,
-                   lanes: Optional[int] = None,
-                   on_error: str = "raise",
-                   ) -> List[Tuple[object, CoreResult]]:
-    """A functional sweep along a *program* axis, executed in lockstep.
-
-    Where :func:`sweep` varies the machine and :func:`sweep_many`
-    crosses programs with machines, this varies the program itself —
-    ``make_program(value)`` builds one instance per axis value (the
-    ``e*`` experiments' seed loops) — and hands the whole batch to the
-    vectorized ensemble backend, which simulates every lane
-    simultaneously instead of one task at a time.  All instances must
-    share a code shape (``Program.shape_fingerprint``); results are
-    functional (final state + interpreter stats, no timing).  Caching
-    is per lane program, so warm lanes load and only cold lanes
-    execute; ``on_error="skip"`` drops failed lanes like :func:`sweep`
-    drops failed points.
-    """
-    from repro.isa.interpreter import DEFAULT_MAX_STEPS
-    from repro.sim.ensemble import run_ensemble
-
-    axis_values = list(axis)
-    programs = [make_program(value) for value in axis_values]
-    results = run_ensemble(
-        programs,
-        max_steps=DEFAULT_MAX_STEPS if max_steps is None else max_steps,
-        cache=cache, backend=backend, lanes=lanes, jobs=jobs,
-        on_error=on_error,
-    )
-    return [
-        (value, result)
-        for value, result in zip(axis_values, results)
-        if result is not None
-    ]

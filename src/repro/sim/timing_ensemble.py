@@ -1,14 +1,15 @@
 """Lane-batched *timing* simulation of the in-order core.
 
-:mod:`repro.sim.ensemble` batches the functional golden interpreter
-over N seed/parameter-varied lanes of one program shape; this module
-does the same for the :class:`~repro.baselines.inorder.InOrderCore`
-timing model.  N lanes execute in lockstep over structure-of-arrays
-state — lane-axis register files, scoreboard ready/producer matrices,
-issue-clock vectors, lane-axis L1/L2 tag matrices
+This module batches the :class:`~repro.baselines.inorder.InOrderCore`
+timing model over N seed/parameter-varied lanes of one program shape
+(:meth:`~repro.isa.program.Program.shape_fingerprint`).  N lanes
+execute in lockstep over structure-of-arrays state — lane-axis
+register files, scoreboard ready/producer matrices, issue-clock
+vectors, a paged lane memory image (:class:`LaneMemoryImage`),
+lane-axis L1/L2 tag matrices
 (:class:`~repro.memory.cache.LaneCacheArray`) and MSHR/TLB mirror
-vectors — with divergent control flow handled by the same cohort
-worklist scheme as the functional engine (lanes split at branches and
+vectors — with divergent control flow handled by a cohort worklist
+(an ``{entry_pc: lane-index-array}`` map: lanes split at branches and
 reconverge when they meet at a PC).
 
 Bit-identity with the scalar core is the contract: every lane's
@@ -113,18 +114,59 @@ from repro.memory.hierarchy import (
 )
 from repro.memory.request import AccessType
 from repro.core.timing import PerfCounters
-from repro.sim.ensemble import (
-    EnsembleError,
-    _check_lane_contract,
-    _sparse_from_words,
-    LaneMemoryImage,
-)
+from repro.errors import ReproError
+from repro.memory.sparse_memory import SparseMemory
 from repro.sim.faults import fault_plan_from_env
 
 try:  # numpy is the optional `ensemble` extra, not a hard dependency.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via monkeypatch
     _np = None  # type: ignore[assignment]
+
+# The dense lane memory image is *paged*: the 64-bit address space is
+# cut into 32 KiB pages and only anchored pages (initial image, plus
+# pages reachable from address-like MOVI immediates) get a dense column
+# range in M.  A small translation table maps page number -> slot base,
+# so far-apart regions (result word, heap, log streams) stay dense
+# without materializing the dead gaps between them.
+_PAGE_WORDS = 4096              # words per dense page
+_PAGE_SHIFT = 15                # byte address -> page number
+_MOVI_HEADROOM_PAGES = 8        # growth room after each MOVI anchor
+_SLOT_POISON = 1 << 60          # translation entry for unmapped pages
+# Total dense-matrix ceiling: pages * lanes * page bytes is capped here
+# and everything else spills to the per-lane overflow dicts.
+_MAX_WINDOW_BYTES = 256 * 1024 * 1024
+
+
+class EnsembleError(ReproError):
+    """Invalid lane batch construction or a failed lane."""
+
+
+def numpy_available() -> bool:
+    """True when the lane-batched engine can run in this process."""
+    return _np is not None
+
+
+def _sparse_from_words(words: Dict[int, int]) -> SparseMemory:
+    memory = SparseMemory()
+    memory._words = words
+    return memory
+
+
+def _check_lane_contract(programs: Sequence[Program]) -> None:
+    if not programs:
+        raise EnsembleError("ensemble needs at least one lane program")
+    for program in programs:
+        program.validate()
+    shape = programs[0].shape_fingerprint()
+    for lane, program in enumerate(programs):
+        if program.shape_fingerprint() != shape:
+            raise EnsembleError(
+                f"lane {lane} ({program.name!r}) does not share the code "
+                f"shape of lane 0 ({programs[0].name!r}); ensemble lanes "
+                "must differ only in immediates and data "
+                "(Program.shape_fingerprint)"
+            )
 
 # Stall-cause indices into the (lanes, 6) stall matrix.  The first
 # three double as the register-producer codes, so a stall-on-use
@@ -265,6 +307,199 @@ def run_timing_ensemble(
         if outcome.result is not None:
             outcome.result.wall_seconds = wall
     return outcomes
+
+
+class LaneMemoryImage:
+    """The paged dense memory window of N lanes (SoA).
+
+    A ``(lanes, pages * page_words)`` uint64 matrix ``M`` for anchored
+    pages, a page-number -> slot-base translation table ``T`` (poisoned
+    for unmapped pages), and per-lane overflow dicts for everything
+    outside the dense window.  Every store goes through
+    :meth:`store_words`, which keeps the zero-write bookkeeping that
+    lets :meth:`exact_lane_words` replicate the scalar
+    ``SparseMemory._words`` dict bit-exactly.
+    """
+
+    def __init__(self, programs: Sequence[Program]):
+        np = _np
+        self.programs = list(programs)
+        self.n_lanes = len(self.programs)
+        image_pages = {
+            word.addr >> _PAGE_SHIFT
+            for program in self.programs
+            for word in program.data
+        }
+        # Anchor pages reachable from address-like MOVI immediates too:
+        # workloads materialize result/log-region base pointers as MOVI
+        # constants outside the initial data image, and stores through
+        # them must stay on the dense fast path.  Non-address constants
+        # that slip through the filter cost at most one false page each
+        # (and small ones coalesce into page zero).
+        movi_pages: Set[int] = set()
+        for inst in self.programs[0].instructions:
+            if inst.op is Op.MOVI:
+                imm = inst.imm
+                if (1 << 12) <= imm < (1 << 48) and imm % 8 == 0:
+                    movi_pages.add(imm >> _PAGE_SHIFT)
+        budget = max(
+            1, _MAX_WINDOW_BYTES // (8 * self.n_lanes * _PAGE_WORDS)
+        )
+        # Priority order under the budget: the image itself, one page of
+        # headroom after each image page (heap-adjacent growth), then
+        # MOVI anchors.  Anchors above the image top get extra headroom
+        # pages so append-style streams (logs) can grow past their base
+        # pointer; anchors below it (result words, small tables) do not
+        # grow and stay single-page.
+        image_top = max(image_pages) if image_pages else -1
+        selected: Set[int] = set()
+        tiers = [
+            sorted(image_pages),
+            sorted(page + 1 for page in image_pages),
+            sorted(movi_pages),
+            sorted(
+                page + extra
+                for page in movi_pages
+                if page > image_top
+                for extra in range(1, _MOVI_HEADROOM_PAGES + 1)
+            ),
+        ]
+        for tier in tiers:
+            for page in tier:
+                if len(selected) >= budget:
+                    break
+                selected.add(page)
+        if not selected:
+            selected.add(0)
+        pages = sorted(selected)
+        self._pages = np.array(pages, dtype=np.int64)  # slot -> page
+        self.T = np.full(
+            pages[-1] + 1, _SLOT_POISON, dtype=np.uint64
+        )
+        for slot, page in enumerate(pages):
+            self.T[page] = slot * _PAGE_WORDS
+        self.M = np.zeros(
+            (self.n_lanes, len(pages) * _PAGE_WORDS), dtype=np.uint64
+        )
+        self.ovf: List[Dict[int, int]] = [{} for _ in range(self.n_lanes)]
+        # Addresses whose *scalar* word dict holds an explicit zero (a
+        # zero-valued image word, or a store of zero through
+        # store_words) — invisible in M but part of the exact identity.
+        self.zero_written: List[Set[int]] = [
+            set() for _ in range(self.n_lanes)
+        ]
+        self._track_zeros = False
+        for lane, program in enumerate(self.programs):
+            data = program.data
+            if not data:
+                continue
+            count = len(data)
+            addrs = np.fromiter(
+                (word.addr for word in data), dtype=np.uint64,
+                count=count,
+            )
+            values = np.fromiter(
+                (word.value & MASK64 for word in data), dtype=np.uint64,
+                count=count,
+            )
+            if not values.all():
+                # Rare: the image writes explicit zeros.  Replay the
+                # scalar last-writer-wins build to find which survive.
+                final: Dict[int, int] = {}
+                for word in data:
+                    final[word.addr] = word.value & MASK64
+                zeros = {a for a, v in final.items() if v == 0}
+                if zeros:
+                    self.zero_written[lane].update(zeros)
+                    self._track_zeros = True
+            w2, dense, _ = self.addr_state(addrs)
+            # Duplicate addresses must resolve last-writer-wins like
+            # the scalar image build; numpy fancy assignment leaves
+            # that unspecified.  Strictly increasing slots (the
+            # generator norm) scatter directly; anything else goes
+            # through a stable sort so later words win ties.
+            if dense.all():
+                if count == 1 or bool((np.diff(w2) > 0).all()):
+                    self.M[lane, w2] = values
+                else:
+                    order = np.argsort(w2, kind="stable")
+                    self.M[lane, w2[order]] = values[order]
+                continue
+            for j, word in enumerate(data):
+                if dense[j]:
+                    self.M[lane, w2[j]] = values[j]
+                else:
+                    self.ovf[lane][word.addr] = int(values[j])
+
+    def addr_state(self, addrs: Any) -> Tuple[Any, Any, Any]:
+        """Map a uint64 byte-address vector through the page table:
+        ``(dense_index, dense_mask, aligned_mask)``.  ``dense_index``
+        is only meaningful where ``dense_mask`` holds."""
+        np = _np
+        aligned = (addrs & np.uint64(7)) == 0
+        page = addrs >> np.uint64(_PAGE_SHIFT)
+        in_table = page < np.uint64(self.T.size)
+        slot = self.T[np.where(in_table, page, 0).astype(np.intp)]
+        dense = in_table & (slot != np.uint64(_SLOT_POISON))
+        w2 = (
+            np.where(dense, slot, 0)
+            + ((addrs >> np.uint64(3)) & np.uint64(_PAGE_WORDS - 1))
+        ).astype(np.intp)
+        return w2, dense, aligned
+
+    # -- aligned batched access ----------------------------------------
+
+    def load_words(self, idx: Any, addrs: Any) -> Any:
+        """Gather the words at aligned ``addrs`` for lanes ``idx``."""
+        np = _np
+        w2, dense, _ = self.addr_state(addrs)
+        if dense.all():
+            return self.M[idx, w2]
+        out = np.empty(idx.size, dtype=np.uint64)
+        out[dense] = self.M[idx[dense], w2[dense]]
+        for j in np.nonzero(~dense)[0].tolist():
+            out[j] = self.ovf[int(idx[j])].get(int(addrs[j]), 0)
+        return out
+
+    def store_words(self, idx: Any, addrs: Any, vals: Any) -> None:
+        """Scatter ``vals`` to aligned ``addrs`` for lanes ``idx``,
+        maintaining the exact-words bookkeeping (zero stores stay part
+        of the word set, like ``SparseMemory.write``)."""
+        np = _np
+        w2, dense, _ = self.addr_state(addrs)
+        zero = vals == np.uint64(0)
+        if zero.any():
+            self._track_zeros = True
+        if self._track_zeros:
+            # Slow bookkeeping path, entered only once a zero word
+            # exists anywhere in the ensemble.
+            for j in np.nonzero(dense)[0].tolist():
+                tracked = self.zero_written[int(idx[j])]
+                if zero[j]:
+                    tracked.add(int(addrs[j]))
+                else:
+                    tracked.discard(int(addrs[j]))
+        if dense.all():
+            self.M[idx, w2] = vals
+        else:
+            self.M[idx[dense], w2[dense]] = vals[dense]
+            for j in np.nonzero(~dense)[0].tolist():
+                self.ovf[int(idx[j])][int(addrs[j])] = int(vals[j])
+
+    # -- collection ----------------------------------------------------
+
+    def exact_lane_words(self, lane: int) -> Dict[int, int]:
+        """The scalar ``SparseMemory._words`` replica of one lane —
+        zero-valued entries included."""
+        row = self.M[lane]
+        nz = _np.nonzero(row)[0]
+        pages = self._pages[nz // _PAGE_WORDS]
+        addrs = (pages << _PAGE_SHIFT) + ((nz % _PAGE_WORDS) << 3)
+        words = dict(zip(addrs.tolist(), row[nz].tolist()))
+        for addr in self.zero_written[lane]:
+            words[addr] = 0
+        words.update(self.ovf[lane])
+        return words
 
 
 class _TimingVectorEngine:
@@ -421,10 +656,10 @@ class _TimingVectorEngine:
     # -- ALU / branch value computation --------------------------------
 
     def _alu_value(self, pc: int, row: Any, idx: Any, ix: Any) -> Any:
-        """The batched result of the arithmetic op at ``pc`` — same
-        per-op policy as the functional vector engine (signed compares
-        through int64 views, shift counts masked to 63, DIV/REM
-        through the scalar handler per lane).  ``ix`` is the
+        """The batched result of the arithmetic op at ``pc`` (signed
+        compares through int64 views, shift counts masked to 63,
+        DIV/REM through the scalar handler per lane, since their
+        float-rounded scalar semantics have no numpy equivalent).  ``ix`` is the
         whole-axis slice when the cohort is every lane, else ``idx``."""
         np = _np
         op = row[R_INST].op
@@ -1015,9 +1250,9 @@ class _TimingVectorEngine:
         np = _np
         active: Dict[int, Any] = {0: np.arange(self.n_lanes, dtype=np.intp)}
         while active:
-            # Deepest-PC-first (same heuristic as the functional
-            # engine): lanes deep in a loop body reach the back edge
-            # and pile up on the head while shallower cohorts drain.
+            # Deepest-PC-first: lanes deep in a loop body reach the
+            # back edge and pile up on the head while shallower
+            # cohorts drain.
             pc = max(active)
             idx = active.pop(pc)
             self._step(active, pc, idx)

@@ -12,9 +12,10 @@ reusable discovery engine:
 * :func:`build_program` — deterministic shape → :class:`Program`
   (proglint-clean by construction),
 * :func:`differential_check` — one program through every core factory
-  (in-order, two OoO variants, four SST variants, scout-only) and the
-  vectorized ensemble backend; any architectural divergence from the
-  golden interpreter comes back as a string verdict,
+  (in-order, two OoO variants, four SST variants, scout-only), checked
+  against the golden interpreter, and through the lane-batched in-order
+  timing ensemble, checked against the scalar in-order core; any
+  divergence comes back as a string verdict,
 * :func:`fuzz` — drives hypothesis' ``find`` so a failing shape is
   *shrunk* to a minimal reproducer before being reported.
 
@@ -47,6 +48,7 @@ from repro.config import (
     InOrderConfig,
     OoOConfig,
     SSTConfig,
+    inorder_machine,
 )
 from repro.core import SSTCore
 from repro.errors import ReproError
@@ -55,7 +57,12 @@ from repro.isa.opcodes import Op
 from repro.isa.program import Program
 from repro.isa.registers import RA_REG
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.sim.machine import Machine
 from repro.sim.runner import verify_against_golden
+from repro.sim.timing_ensemble import (
+    run_timing_ensemble,
+    timing_ensemble_eligible,
+)
 
 HEAP = 0x100000
 HEAP_WORDS = 64
@@ -219,8 +226,9 @@ def build_program(shape, name: str = "fuzzed") -> Program:
 
 def differential_check(program: Program) -> Optional[str]:
     """Run ``program`` through every machine variant; return a verdict
-    string on the first architectural divergence, ``None`` if all
-    agree with the golden interpreter."""
+    string on the first divergence, ``None`` if every core agrees with
+    the golden interpreter and the batched in-order lane with the
+    scalar in-order core."""
     for name, factory in CORE_FACTORIES:
         hierarchy = MemoryHierarchy(small_hierarchy())
         core = factory(program, hierarchy)
@@ -231,22 +239,21 @@ def differential_check(program: Program) -> Optional[str]:
         except ReproError as error:
             return f"{name}: {error}"
 
-    # Vectorized ensemble backend vs. the scalar interpreter.
-    from repro.isa.interpreter import run_program
-    from repro.sim.ensemble import numpy_available, run_ensemble
-
-    if numpy_available():
+    # Lane-batched timing engine vs. the scalar in-order core: the
+    # whole CoreResult (cycles, state, stats) must be identical.
+    config = inorder_machine(small_hierarchy())
+    if timing_ensemble_eligible(config):
         try:
-            [lane] = run_ensemble([program], backend="numpy")
+            [lane] = run_timing_ensemble(config, [program],
+                                         MAX_INSTRUCTIONS)
+            scalar = Machine(config).run(program,
+                                         max_instructions=MAX_INSTRUCTIONS)
         except ReproError as error:
-            return f"ensemble: {error}"
-        if lane is None:
-            return "ensemble: lane produced no result"
-        golden = run_program(program)
-        if lane.state.regs != golden.regs:
-            return "ensemble: register state diverged from golden"
-        if lane.state.memory != golden.memory:
-            return "ensemble: memory state diverged from golden"
+            return f"timing-ensemble: {error}"
+        if not lane.ok:
+            return f"timing-ensemble: {lane.error}"
+        if lane.result != scalar:
+            return "timing-ensemble: CoreResult diverged from scalar core"
     return None
 
 

@@ -114,7 +114,7 @@ def full_suite(scale: str = "small") -> List[Program]:
 def suite_params(scale: str = "small") -> Dict[str, dict]:
     """Generator kwargs per workload at ``scale`` (without ``seed`` /
     ``name``), for callers that build their own parameter-varied
-    instances — e.g. the ensemble backend's seed-varied lanes."""
+    instances — e.g. the timing ensemble's seed-varied lanes."""
     if scale not in _SCALES:
         raise ConfigError(f"unknown scale {scale!r}; pick one of {_SCALES}")
     merged = {**_COMMERCIAL_PARAMS, **_COMPUTE_PARAMS}

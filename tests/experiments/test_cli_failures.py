@@ -1,12 +1,12 @@
 """CLI failure modes exit non-zero with a one-line diagnostic, never a
-traceback: missing perf baseline, numpy explicitly requested but
-absent, and bad workload selections for `repro ensemble bench`."""
+traceback: missing perf baseline, numpy absent for `repro ensemble
+bench`, and bad workload selections for it."""
 
 import pytest
 
 from repro import cli
 from repro.experiments import perf
-from repro.sim import ensemble
+from repro.sim import timing_ensemble
 
 
 def run_cli(argv, capsys):
@@ -36,15 +36,15 @@ def test_perf_report_missing_baseline_exits_2(tmp_path, monkeypatch,
 
 def test_ensemble_bench_numpy_requested_but_absent(monkeypatch,
                                                    capsys):
-    monkeypatch.setattr(ensemble, "numpy_available", lambda: False)
-    code, _, err = run_cli(
-        ["ensemble", "bench", "--backend", "numpy"], capsys)
+    monkeypatch.setattr(timing_ensemble, "numpy_available", lambda: False)
+    code, _, err = run_cli(["ensemble", "bench", "--lanes", "2"], capsys)
     assert code == 2
-    assert "requires numpy" in err
+    assert "numpy not installed" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("extra", [[], ["--timing"]])
+# Plain and --json output report selection errors the same way.
+@pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_ensemble_bench_unknown_workload_exits_2(extra, capsys):
     pytest.importorskip("numpy")
     code, _, err = run_cli(
@@ -55,7 +55,7 @@ def test_ensemble_bench_unknown_workload_exits_2(extra, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("extra", [[], ["--timing"]])
+@pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_ensemble_bench_empty_workload_selection_exits_2(extra,
                                                          capsys):
     pytest.importorskip("numpy")

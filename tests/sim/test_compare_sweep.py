@@ -116,23 +116,3 @@ def test_sweep_cached_corrupt_point_is_resimulated_not_raised(
     assert healed_cache.stats.hits == 1
     assert healed_cache.stats.invalid == 0
     assert healed[0][1].state.regs == warm[0][1].state.regs
-
-
-def test_ensemble_sweep_varies_the_program_axis(tmp_path):
-    from repro.sim.cache import ResultCache
-    from repro.sim.sweep import ensemble_sweep
-
-    def make_program(seed):
-        return hash_join(table_words=256, probes=24, seed=seed,
-                         name=f"db-seeded-{seed}")
-
-    cache = ResultCache(tmp_path)
-    results = ensemble_sweep(make_program, [1, 2, 3], cache=cache)
-    assert [value for value, _ in results] == [1, 2, 3]
-    assert all(result.core_name == "ensemble" for _, result in results)
-
-    # Warm lanes restore from the cache without executing.
-    warm = ensemble_sweep(make_program, [1, 2, 3], cache=cache)
-    assert cache.stats.hits >= 3
-    for (_, a), (_, b) in zip(results, warm):
-        assert a.state.regs == b.state.regs

@@ -27,9 +27,12 @@ from repro.config import (
 )
 from repro.isa.assembler import assemble
 from repro.regress.firewall import point_behavior, state_hash
-from repro.sim.ensemble import EnsembleError, numpy_available
+from repro.sim import timing_ensemble as te
 from repro.sim.machine import Machine
+from repro.sim.parallel import ParallelRunner, SimTask
 from repro.sim.timing_ensemble import (
+    EnsembleError,
+    numpy_available,
     run_timing_ensemble,
     timing_ensemble_eligible,
 )
@@ -368,6 +371,48 @@ def test_static_predictor_rejected():
     )
     with pytest.raises(EnsembleError, match="predictor"):
         run_timing_ensemble(config, programs)
+
+
+@needs_numpy
+def test_shape_mismatch_rejected():
+    a = lane_programs("fp-stream", lanes=1)[0]
+    b = lane_programs("int-branchy", lanes=1)[0]
+    with pytest.raises(EnsembleError, match="shape"):
+        run_timing_ensemble(inorder_machine(), [a, b])
+
+
+@needs_numpy
+def test_empty_ensemble_rejected():
+    with pytest.raises(EnsembleError, match="at least one lane"):
+        run_timing_ensemble(inorder_machine(), [])
+
+
+def test_timing_ensemble_ineligible_without_numpy(monkeypatch):
+    """Without numpy the timing engine declares itself ineligible and
+    sweeps run scalar: results are unchanged, availability is honest."""
+    from repro.experiments import perf
+
+    monkeypatch.setattr(te, "_np", None)
+    config = inorder_machine()
+    assert not numpy_available()
+    assert not timing_ensemble_eligible(config)
+    with pytest.raises(EnsembleError, match="numpy"):
+        run_timing_ensemble(config, lane_programs("fp-stream", 2))
+
+    # The runner silently takes the scalar path for every point.
+    tasks = [SimTask(config=config, program=p)
+             for p in lane_programs("fp-stream", 3)]
+    outcomes = ParallelRunner(1).run_outcomes(tasks)
+    assert all(o.ok for o in outcomes)
+
+    # And perf snapshots stay writable, marking the section absent.
+    section = perf.measure_timing_ensemble(lanes=2)
+    assert section == {
+        "available": False,
+        "reason": "numpy not installed",
+        "lanes": 2,
+        "scale": "tiny",
+    }
 
 
 @needs_numpy
