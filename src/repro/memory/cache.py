@@ -14,16 +14,28 @@ every core model, so it stays allocation-free.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import CacheConfig
 from repro.errors import SimulatorInvariantError
 
-try:  # numpy backs the lane-batched probe path; scalar Cache never needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy CI leg
-    _np = None  # type: ignore[assignment]
+# numpy backs the lane-batched probe path only; scalar Cache never needs
+# it.  It is imported when the first LaneCacheArray is built, so
+# importing the simulator pays no numpy start-up.
+_np: Any = None
+
+
+@functools.lru_cache(maxsize=None)
+def load_numpy() -> Any:
+    """The numpy module, imported on the first call, or None when it
+    is not installed (numpy is the optional ``ensemble`` extra)."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 # Line-flag bits.
 DIRTY = 1
@@ -199,6 +211,8 @@ class LaneCacheArray:
 
     def __init__(self, config: CacheConfig, lanes: int,
                  name: str = "cache"):
+        global _np  # the vector methods below read the module binding
+        _np = load_numpy()
         if _np is None:  # pragma: no cover - numpy-less installs
             raise SimulatorInvariantError(
                 "LaneCacheArray requires numpy (the 'ensemble' extra)"

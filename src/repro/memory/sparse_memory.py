@@ -41,9 +41,21 @@ class SparseMemory:
         self._words[self._check(addr)] = value & _MASK64
 
     def load_image(self, data) -> None:
-        """Initialise from an iterable of :class:`repro.isa.program.DataWord`."""
+        """Initialise from an iterable of :class:`repro.isa.program.DataWord`.
+
+        Equivalent to :meth:`write` per word, with the alignment and
+        range checks inlined: images run to tens of thousands of words
+        and every fresh architectural state loads one.
+        """
+        words = self._words
         for word in data:
-            self.write(word.addr, word.value)
+            value = word.value & _MASK64
+            addr = word.addr
+            if addr % WORD_BYTES != 0:
+                raise ExecutionError(f"misaligned 8-byte access at {addr:#x}")
+            if not 0 <= addr <= _MASK64:
+                raise ExecutionError(f"address out of range: {addr:#x}")
+            words[addr] = value
 
     def snapshot(self) -> Dict[int, int]:
         """A copy of all non-zero words, for differential comparison."""

@@ -46,6 +46,7 @@ from repro.regress.semid import (
     line_digest,
     semantic_id,
     short_id,
+    state_id,
 )
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
     "line_digest",
     "semantic_id",
     "short_id",
+    "state_id",
     # Lazy (PEP 562) — see __getattr__:
     "BaselineRecord",
     "BaselineStore",

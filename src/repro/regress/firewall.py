@@ -10,7 +10,9 @@ promoted.
 
 * ``cycles`` / ``instructions`` — the timing-model contract;
 * ``state_hash`` — semantic ID of the final architectural registers
-  and memory (the functional contract);
+  and memory (the functional contract), rendered directly by
+  :func:`repro.regress.semid.state_id` rather than through the
+  generic canonical tree (same digest);
 * ``perf_signature`` — semantic ID of the perf counters (the
   event-driven fast-forward accounting, proven identical across the
   block-dispatch / sanitizer execution variants);
@@ -78,11 +80,9 @@ def mode_from_env() -> str:
 
 
 def state_hash(state: Any) -> str:
-    """Semantic ID of an architectural state (registers + memory)."""
-    return semid_mod.semantic_id({
-        "regs": list(state.regs),
-        "memory": sorted(state.memory.items()),
-    })
+    """Semantic ID of an architectural state (registers + memory),
+    rendered in one pass by :func:`repro.regress.semid.state_id`."""
+    return semid_mod.state_id(state.regs, state.memory.items())
 
 
 def point_behavior(result: CoreResult) -> Dict[str, Any]:

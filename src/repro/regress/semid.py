@@ -27,6 +27,19 @@ hash in the repo, so treat this docstring as a format spec):
    can never perturb a digest.
 3. **Digest** (:func:`semantic_id`): SHA-256 over the stable JSON,
    hex-encoded (64 chars).
+4. **Direct render** (:func:`state_id`): an architectural state
+   ``{"regs": [...], "memory": sorted(words)}`` whose registers,
+   addresses and values are all exact ``int`` (``type(x) is int``)
+   has the stable JSON text (one line; wrapped here)::
+
+       {"\\"str:memory\\"": [["int:A", "int:V"], ...],
+        "\\"str:regs\\"": ["int:R", ...]}
+
+   with ``", "`` between items and ``[]`` for an empty list, which is
+   what rules 1-2 produce for it.  ``state_id`` writes that text in
+   one pass instead of building the canonical tree; any other value
+   falls back to :func:`semantic_id`, so the digest (or the
+   :class:`SemanticIdError`) is the same either way.
 
 Two lower-level primitives exist for call sites that predate the
 unified scheme and whose digests are load-bearing (cache keys on disk,
@@ -43,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
 from typing import Any, Iterable
 
@@ -111,6 +125,41 @@ def semantic_id(value: Any) -> str:
     stay bit-compatible.
     """
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+
+
+# The fixed frame of a direct-rendered state (rule 4): the canonical
+# dict keys are the JSON of "str:memory" / "str:regs", sorted.
+_STATE_HEAD = '{"\\"str:memory\\"": ['
+_STATE_MID = '], "\\"str:regs\\"": ['
+_STATE_TAIL = "]}"
+_WORD_FORMAT = '["int:%d", "int:%d"]'.__mod__
+_REG_FORMAT = '"int:%d"'.__mod__
+
+
+def state_id(regs: Iterable[Any], words: Iterable[Any]) -> str:
+    """The semantic id of an architectural state, in one pass.
+
+    Exactly ``semantic_id({"regs": list(regs), "memory":
+    sorted(words)})``, where ``words`` holds ``(address, value)``
+    pairs.  When every register, address and value is an exact
+    ``int`` the canonical JSON is rendered directly (format rule 4),
+    skipping the recursive :func:`canonicalize` walk and the second
+    ``json.dumps`` pass; anything else takes the generic path.
+    """
+    regs = list(regs)
+    memory = sorted(words)
+    if ({int}.issuperset(map(type, regs))
+            and {tuple}.issuperset(map(type, memory))
+            and {2}.issuperset(map(len, memory))
+            and {int}.issuperset(
+                map(type, itertools.chain.from_iterable(memory)))):
+        text = "".join((
+            _STATE_HEAD, ", ".join(map(_WORD_FORMAT, memory)),
+            _STATE_MID, ", ".join(map(_REG_FORMAT, regs)),
+            _STATE_TAIL,
+        ))
+        return hashlib.sha256(text.encode()).hexdigest()
+    return semantic_id({"regs": regs, "memory": memory})
 
 
 def digest_material(material: Any) -> str:

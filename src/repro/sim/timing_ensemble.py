@@ -61,6 +61,8 @@ injection plan (``REPRO_FAULT_INJECT`` targets per-task workers).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.util
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -105,7 +107,7 @@ from repro.isa.opcodes import Op
 from repro.isa.program import Program
 from repro.isa.registers import REG_COUNT
 from repro.isa.semantics import MASK64, to_signed
-from repro.memory.cache import LaneCacheArray, LaneCacheView
+from repro.memory.cache import LaneCacheArray, LaneCacheView, load_numpy
 from repro.memory.hierarchy import (
     HierarchyStats,
     ICODE_BASE,
@@ -118,10 +120,11 @@ from repro.errors import ReproError
 from repro.memory.sparse_memory import SparseMemory
 from repro.sim.faults import fault_plan_from_env
 
-try:  # numpy is the optional `ensemble` extra, not a hard dependency.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _np = None  # type: ignore[assignment]
+# numpy is the optional `ensemble` extra, not a hard dependency, and is
+# imported only when a lane batch runs (run_timing_ensemble).  Until
+# then _np is _UNLOADED; None means numpy is absent.
+_UNLOADED: Any = object()
+_np: Any = _UNLOADED
 
 # The dense lane memory image is *paged*: the 64-bit address space is
 # cut into 32 KiB pages and only anchored pages (initial image, plus
@@ -143,8 +146,18 @@ class EnsembleError(ReproError):
 
 
 def numpy_available() -> bool:
-    """True when the lane-batched engine can run in this process."""
+    """True when the lane-batched engine can run in this process.
+
+    Answers without importing numpy: before the first batch it only
+    asks whether numpy is installed."""
+    if _np is _UNLOADED:
+        return _numpy_installed()
     return _np is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_installed() -> bool:
+    return importlib.util.find_spec("numpy") is not None
 
 
 def _sparse_from_words(words: Dict[int, int]) -> SparseMemory:
@@ -258,7 +271,7 @@ class TimingLaneOutcome:
 def timing_ensemble_eligible(config: MachineConfig) -> bool:
     """Can same-shape sweeps of ``config`` batch through the timing
     engine?  False falls back to scalar runs, never errors."""
-    if _np is None or not timing_ensemble_enabled():
+    if not numpy_available() or not timing_ensemble_enabled():
         return False
     if config.core_kind is not CoreKind.INORDER or config.inorder is None:
         return False
@@ -282,6 +295,9 @@ def run_timing_ensemble(
     ``wall_seconds`` on each result is the batch wall time divided
     evenly across lanes (excluded from result equality).
     """
+    global _np
+    if _np is _UNLOADED:
+        _np = load_numpy()
     if _np is None:
         raise EnsembleError(
             "the timing ensemble requires numpy; guard calls with "

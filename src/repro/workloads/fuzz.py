@@ -56,6 +56,7 @@ from repro.isa.builder import ProgramBuilder
 from repro.isa.opcodes import Op
 from repro.isa.program import Program
 from repro.isa.registers import RA_REG
+from repro.memory.cache import load_numpy
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.machine import Machine
 from repro.sim.runner import verify_against_golden
@@ -240,9 +241,10 @@ def differential_check(program: Program) -> Optional[str]:
             return f"{name}: {error}"
 
     # Lane-batched timing engine vs. the scalar in-order core: the
-    # whole CoreResult (cycles, state, stats) must be identical.
+    # whole CoreResult (cycles, state, stats) must be identical.  Skipped
+    # when numpy is absent or does not import.
     config = inorder_machine(small_hierarchy())
-    if timing_ensemble_eligible(config):
+    if timing_ensemble_eligible(config) and load_numpy() is not None:
         try:
             [lane] = run_timing_ensemble(config, [program],
                                          MAX_INSTRUCTIONS)

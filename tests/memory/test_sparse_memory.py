@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -41,6 +43,28 @@ def test_load_image():
     memory.load_image([DataWord(0x100, 7), DataWord(0x108, 8)])
     assert memory.read(0x100) == 7
     assert memory.read(0x108) == 8
+
+
+def test_load_image_masks_values_like_write():
+    memory = SparseMemory()
+    memory.load_image([DataWord(0, -1), DataWord(8, 1 << 64)])
+    assert memory.snapshot() == {0: 2**64 - 1, 8: 0}
+
+
+@pytest.mark.parametrize("addr, message", [
+    (0x104, "misaligned 8-byte access at 0x104"),
+    (-8, "address out of range: -0x8"),
+    (1 << 64, "address out of range: 0x10000000000000000"),
+])
+def test_load_image_rejects_bad_addresses_like_write(addr, message):
+    # DataWord refuses misaligned addresses itself, so feed load_image
+    # plain records carrying the same two attributes.
+    bad = SimpleNamespace(addr=addr, value=1)
+    with pytest.raises(ExecutionError) as via_write:
+        SparseMemory().write(addr, 1)
+    with pytest.raises(ExecutionError) as via_image:
+        SparseMemory().load_image([DataWord(0x100, 7), bad])
+    assert str(via_image.value) == str(via_write.value) == message
 
 
 def test_equality_ignores_explicit_zeros():

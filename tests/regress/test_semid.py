@@ -15,6 +15,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import inorder_machine, sst_machine
 from repro.regress.semid import (
@@ -27,6 +28,7 @@ from repro.regress.semid import (
     line_digest,
     semantic_id,
     short_id,
+    state_id,
 )
 from repro.sim.cache import SIM_SCHEMA_VERSION, result_key
 from repro.workloads import full_suite
@@ -175,3 +177,79 @@ def test_dump_stable_sorts_keys_and_ends_with_newline():
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert dump_stable({"a": 2, "b": 1}) == text
+
+
+# -- direct state render (rule 4) -------------------------------------------
+
+
+def generic_state_id(regs, words):
+    """The definition :func:`state_id` must reproduce bit for bit."""
+    return semantic_id({"regs": list(regs), "memory": sorted(words)})
+
+
+def test_state_id_pinned_digest():
+    # Format drift must be loud: this digest is what every committed
+    # baseline's ``state_hash`` was minted with.
+    regs = [0, 5, 2**64 - 1]
+    words = {0x108: 8, 0x100: 7}
+    text = ('{"\\"str:memory\\"": [["int:256", "int:7"], '
+            '["int:264", "int:8"]], "\\"str:regs\\"": '
+            '["int:0", "int:5", "int:18446744073709551615"]}')
+    digest = "f27f7acacf463d75c86e2d5406cecd270c99e8df9f8b75768b08b48de8488988"
+    assert canonical_json({"regs": regs,
+                           "memory": sorted(words.items())}) == text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert state_id(regs, words.items()) == digest
+
+
+def test_state_id_empty_state():
+    assert state_id([], []) == generic_state_id([], [])
+    assert state_id([0] * 4, {}.items()) == generic_state_id([0] * 4, [])
+
+
+WORD_INTS = st.one_of(
+    st.sampled_from([0, 1, 2**64 - 1, 2**64, -1, -(2**63)]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+@settings(max_examples=200)
+@given(regs=st.lists(WORD_INTS, max_size=40),
+       memory=st.dictionaries(WORD_INTS, WORD_INTS, max_size=40))
+def test_state_id_matches_generic_form(regs, memory):
+    assert (state_id(regs, memory.items())
+            == generic_state_id(regs, memory.items()))
+
+
+@pytest.mark.parametrize("regs, words", [
+    ([0, True, 2], [(8, 1)]),          # bool register: "bool:True"
+    ([0, 1], [(8, False)]),            # bool value
+    ([0, 1.0], [(8, 1)]),              # float register: "float:1.0"
+    ([0, 1], [(8.0, 1)]),              # float address
+    ([0, 1], [[8, 1], [0, 2]]),        # list pairs canonicalize alike
+    ([0, 1], [(8, 1, 2)]),             # not a pair
+])
+def test_state_id_falls_back_to_generic_form(regs, words):
+    assert state_id(regs, words) == generic_state_id(regs, words)
+    assert state_id(regs, words) != state_id([0, 1], [(8, 1)])
+
+
+def test_state_id_fallback_raises_like_generic_form():
+    for regs, words in (([0, object()], [(8, 1)]),
+                        ([0, 1], [(8, object())])):
+        with pytest.raises(SemanticIdError) as generic:
+            generic_state_id(regs, words)
+        with pytest.raises(SemanticIdError) as direct:
+            state_id(regs, words)
+        assert str(direct.value) == str(generic.value)
+
+
+def test_state_id_numpy_scalars_take_generic_path():
+    np = pytest.importorskip("numpy")
+    regs = [0, np.int64(5)]
+    words = [(np.int64(8), 1), (16, np.uint64(2))]
+    with pytest.raises(SemanticIdError) as generic:
+        generic_state_id(regs, words)
+    with pytest.raises(SemanticIdError) as direct:
+        state_id(regs, words)
+    assert str(direct.value) == str(generic.value)

@@ -38,7 +38,15 @@ from repro.sim.timing_ensemble import (
 )
 from repro.workloads.suite import WORKLOAD_FACTORIES, suite_params
 
-needs_numpy = pytest.mark.skipif(not numpy_available(),
+# numpy_available() asks only whether numpy is installed; skip on
+# whether it actually imports, so a broken install skips too.
+try:
+    import numpy  # noqa: F401
+except ImportError:
+    HAVE_NUMPY = False
+else:
+    HAVE_NUMPY = True
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
                                  reason="numpy not installed")
 
 LANES = 8

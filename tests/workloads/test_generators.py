@@ -95,18 +95,18 @@ def test_branch_bias_changes_predictability():
 
 
 def test_matrix_multiply_is_correct():
-    import numpy
-
     n = 4
     program = matrix_multiply(n=n, seed=11)
     words = {w.addr: w.value for w in program.data}
     from repro.workloads.base import HEAP_BASE
 
-    a = numpy.array([[words[HEAP_BASE + 8 * (i * n + j)]
-                      for j in range(n)] for i in range(n)], dtype=object)
+    a = [[words[HEAP_BASE + 8 * (i * n + j)] for j in range(n)]
+         for i in range(n)]
     b_base = HEAP_BASE + 8 * n * n
-    b = numpy.array([[words[b_base + 8 * (i * n + j)]
-                      for j in range(n)] for i in range(n)], dtype=object)
-    expected = int((a @ b).sum())
+    b = [[words[b_base + 8 * (i * n + j)] for j in range(n)]
+         for i in range(n)]
+    # Sum of every entry of the product a @ b, in exact Python ints.
+    expected = sum(a[i][k] * b[k][j]
+                   for i in range(n) for j in range(n) for k in range(n))
     state = Interpreter(program, max_steps=500_000).run()
     assert state.memory.read(RESULT_ADDR) == expected
